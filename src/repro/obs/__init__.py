@@ -4,6 +4,8 @@ Layers (bottom-up):
 
 * :mod:`repro.obs.registry` — Counter/Gauge/Histogram instruments with
   labels, snapshot/merge semantics and a no-op null variant,
+* :mod:`repro.obs.quantiles` — :class:`LogSketch`, the mergeable
+  relative-error latency sketch behind the service SLO quantiles,
 * :mod:`repro.obs.spans` — per-operation span tracing (invoke → quorum
   rounds → retries → response/timeout) with a bounded ring of spans,
 * :mod:`repro.obs.export` — Prometheus text exposition and JSON renderers
@@ -22,11 +24,7 @@ from repro.obs.export import (
     to_prometheus_text,
     validate_prometheus_text,
 )
-from repro.obs.quantiles import (
-    DEFAULT_QUANTILES,
-    P2Quantile,
-    StreamingQuantiles,
-)
+from repro.obs.quantiles import LogSketch
 from repro.obs.registry import (
     DEFAULT_BUCKETS,
     Counter,
@@ -48,12 +46,12 @@ from repro.obs.spans import (
 
 __all__ = [
     "DEFAULT_BUCKETS",
-    "DEFAULT_QUANTILES",
     "DISABLED",
     "Counter",
     "Family",
     "Gauge",
     "Histogram",
+    "LogSketch",
     "MetricsError",
     "MetricsRegistry",
     "NULL_RECORDER",
@@ -61,11 +59,9 @@ __all__ = [
     "NullRegistry",
     "NullSpanRecorder",
     "Observability",
-    "P2Quantile",
     "Span",
     "SpanEvent",
     "SpanRecorder",
-    "StreamingQuantiles",
     "to_json",
     "to_prometheus_text",
     "validate_prometheus_text",

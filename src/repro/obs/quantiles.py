@@ -1,188 +1,91 @@
-"""Streaming quantile estimation: the P² algorithm.
+"""A mergeable relative-error latency sketch (DDSketch-style log buckets).
 
-Fixed-bucket histograms answer "which bucket does the p99 fall in" — good
-enough for coarse latency tables, but an SLO tracker wants a point
-estimate that sharpens as traffic flows, without storing observations.
-The P² algorithm (Jain & Chlamtac, CACM 1985) maintains five *markers*
-per tracked quantile — the minimum, the maximum, the quantile itself and
-two intermediate points — and nudges their heights by piecewise-parabolic
-interpolation as observations arrive.  O(1) memory and time per
-observation, deterministic (pure float arithmetic in observation order,
-no randomness, no wall clock), and typically within a fraction of a
-percent of the exact sample quantile for unimodal streams.
+Following Masson, Rim & Lee (DDSketch, VLDB 2019), a positive value
+``v`` goes to bucket ``i = ceil(log(v) / log(gamma))`` with
+``gamma = (1 + ALPHA) / (1 - ALPHA)``, so bucket ``i`` covers
+``(gamma**(i-1), gamma**i]``.  Reporting the bucket's representative
+``2 * gamma**i / (gamma + 1)`` is then within relative error ``ALPHA`` of
+every value in it, so a quantile is within ``ALPHA`` of the exact
+inverted-CDF sample quantile.
 
-:class:`P2Quantile` tracks one quantile; :class:`StreamingQuantiles`
-bundles the service-mode SLO set (p50/p99/p999 by default) behind a
-single ``observe``.  Both reject non-finite observations with
-:class:`~repro.obs.registry.MetricsError`, mirroring
+Each bucket is an integer count, so :meth:`LogSketch.observe` is O(1),
+memory grows with the logarithm of the value range, and
+:meth:`LogSketch.merge` is exact: merging in any order gives the same
+state as observing the union.  Non-finite and negative observations
+raise :class:`~repro.obs.registry.MetricsError`, mirroring
 :class:`~repro.obs.registry.Histogram`.
 """
 
 import math
-from typing import Dict, Sequence, Tuple
+from typing import Dict
 
 from repro.obs.registry import MetricsError
 
-#: The service-mode SLO quantile set.
-DEFAULT_QUANTILES: Tuple[float, ...] = (0.5, 0.99, 0.999)
+#: Relative accuracy of every reported quantile.
+ALPHA = 0.01
+GAMMA = (1.0 + ALPHA) / (1.0 - ALPHA)
+_LOG_GAMMA = math.log(GAMMA)
 
 
-class P2Quantile:
-    """One streaming quantile estimate via the P² marker algorithm.
+class LogSketch:
+    """Quantiles of a nonnegative stream within relative error ``ALPHA``."""
 
-    The first five observations are held exactly (and the estimate is the
-    exact sample quantile over them); from the sixth on, the five markers
-    take over and memory stays constant.
-    """
+    __slots__ = ("_bins", "_zeros", "_count")
 
-    __slots__ = ("q", "count", "_heights", "_positions", "_desired", "_rates")
-
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise MetricsError(f"tracked quantile must be in (0, 1), got {q}")
-        self.q = q
-        self.count = 0
-        self._heights: list = []
-        # Marker positions are 1-based observation ranks, per the paper.
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-        self._rates = (0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0)
+    def __init__(self) -> None:
+        self._bins: Dict[int, int] = {}
+        self._zeros = 0
+        self._count = 0
 
     def observe(self, value: float) -> None:
-        """Fold one observation into the marker state."""
-        if not math.isfinite(value):
+        """Count one observation in its bucket."""
+        if not 0.0 <= value < math.inf:
             raise MetricsError(
-                f"quantile observation must be finite, got {value}"
+                f"sketch observation must be finite and >= 0, got {value}"
             )
-        self.count += 1
-        heights = self._heights
-        if self.count <= 5:
-            heights.append(value)
-            heights.sort()
+        self._count += 1
+        if value == 0.0:
+            self._zeros += 1
             return
-
-        # Locate the cell k whose interval [h_k, h_{k+1}) holds the value,
-        # stretching the extreme markers when it falls outside them.
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            cell = 3
-        else:
-            cell = 0
-            while value >= heights[cell + 1]:
-                cell += 1
-
-        positions = self._positions
-        desired = self._desired
-        for index in range(cell + 1, 5):
-            positions[index] += 1.0
-        for index, rate in enumerate(self._rates):
-            desired[index] += rate
-
-        # Adjust the three interior markers toward their desired positions.
-        for index in (1, 2, 3):
-            drift = desired[index] - positions[index]
-            right_gap = positions[index + 1] - positions[index]
-            left_gap = positions[index - 1] - positions[index]
-            if (drift >= 1.0 and right_gap > 1.0) or (
-                drift <= -1.0 and left_gap < -1.0
-            ):
-                step = 1.0 if drift >= 1.0 else -1.0
-                candidate = self._parabolic(index, step)
-                if not heights[index - 1] < candidate < heights[index + 1]:
-                    candidate = self._linear(index, step)
-                heights[index] = candidate
-                positions[index] += step
-
-    def _parabolic(self, index: int, step: float) -> float:
-        heights = self._heights
-        positions = self._positions
-        p_prev, p_here, p_next = (
-            positions[index - 1], positions[index], positions[index + 1]
-        )
-        h_prev, h_here, h_next = (
-            heights[index - 1], heights[index], heights[index + 1]
-        )
-        return h_here + step / (p_next - p_prev) * (
-            (p_here - p_prev + step) * (h_next - h_here) / (p_next - p_here)
-            + (p_next - p_here - step) * (h_here - h_prev) / (p_here - p_prev)
-        )
-
-    def _linear(self, index: int, step: float) -> float:
-        heights = self._heights
-        positions = self._positions
-        other = index + int(step)
-        return heights[index] + step * (heights[other] - heights[index]) / (
-            positions[other] - positions[index]
-        )
-
-    @property
-    def value(self) -> float:
-        """The current estimate (``nan`` before any observation)."""
-        count = self.count
-        if count == 0:
-            return math.nan
-        heights = self._heights
-        if count <= 5:
-            # Exact sample quantile (linear interpolation, matching
-            # numpy.quantile's default) over the buffered observations.
-            rank = self.q * (count - 1)
-            low = int(rank)
-            if low >= count - 1:
-                return heights[-1]
-            fraction = rank - low
-            return heights[low] + (heights[low + 1] - heights[low]) * fraction
-        return heights[2]
-
-    def __repr__(self) -> str:
-        return f"P2Quantile(q={self.q}, n={self.count}, value={self.value:.6g})"
-
-
-class StreamingQuantiles:
-    """A bundle of P² estimators sharing one observation stream."""
-
-    __slots__ = ("_estimators",)
-
-    def __init__(
-        self, quantiles: Sequence[float] = DEFAULT_QUANTILES
-    ) -> None:
-        if not quantiles:
-            raise MetricsError("need at least one tracked quantile")
-        if len(set(quantiles)) != len(quantiles):
-            raise MetricsError(f"duplicate tracked quantiles: {quantiles}")
-        self._estimators = {q: P2Quantile(q) for q in sorted(quantiles)}
-
-    def observe(self, value: float) -> None:
-        for estimator in self._estimators.values():
-            estimator.observe(value)
+        index = math.ceil(math.log(value) / _LOG_GAMMA)
+        bins = self._bins
+        bins[index] = bins.get(index, 0) + 1
 
     @property
     def count(self) -> int:
-        for estimator in self._estimators.values():
-            return estimator.count
-        return 0
+        return self._count
 
-    @property
-    def quantiles(self) -> Tuple[float, ...]:
-        return tuple(self._estimators)
+    def quantile(self, q: float) -> float:
+        """The inverted-CDF ``q``-quantile (``nan`` before any observation)."""
+        if not 0.0 <= q <= 1.0:
+            raise MetricsError(f"quantile must be in [0, 1], got {q}")
+        if self._count == 0:
+            return math.nan
+        rank = max(1, math.ceil(q * self._count))
+        seen = self._zeros
+        if seen >= rank:
+            return 0.0
+        for index in sorted(self._bins):
+            seen += self._bins[index]
+            if seen >= rank:
+                break
+        return 2.0 * GAMMA ** index / (GAMMA + 1.0)
 
-    def value(self, q: float) -> float:
-        estimator = self._estimators.get(q)
-        if estimator is None:
-            raise MetricsError(
-                f"quantile {q} is not tracked (have {self.quantiles})"
-            )
-        return estimator.value
+    def merge(self, other: "LogSketch") -> "LogSketch":
+        """Add ``other``'s counts into this sketch; returns this sketch."""
+        bins = self._bins
+        for index, count in other._bins.items():
+            bins[index] = bins.get(index, 0) + count
+        self._zeros += other._zeros
+        self._count += other._count
+        return self
 
-    def values(self) -> Dict[float, float]:
-        """All current estimates, keyed by quantile, in ascending order."""
-        return {q: est.value for q, est in self._estimators.items()}
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LogSketch):
+            return NotImplemented
+        return (self._zeros, self._bins) == (other._zeros, other._bins)
+
+    __hash__ = None  # mutable
 
     def __repr__(self) -> str:
-        rendered = ", ".join(
-            f"p{q * 100:g}={est.value:.6g}"
-            for q, est in self._estimators.items()
-        )
-        return f"StreamingQuantiles({rendered}, n={self.count})"
+        return f"LogSketch(n={self._count}, buckets={len(self._bins)})"

@@ -6,15 +6,16 @@ production service — the ROADMAP's "millions of simulated clients" axis:
 * :mod:`repro.service.frontend` — :class:`KeyValueFrontend`: get/put over
   a :class:`~repro.registers.sharding.ShardedKeyspace`, with admission
   control (bounded in-flight operations), load-shedding counters and
-  live latency tracking (fixed-bucket histogram + P² streaming
-  p50/p99/p999),
+  live latency tracking (one mergeable log-bucket sketch per kind,
+  quantiles within 1% relative error, plus a fixed-bucket histogram),
 * :mod:`repro.service.traffic` — :class:`OpenLoopDriver`: schedules
   arrivals from a :mod:`repro.sim.arrivals` process, draws Zipf keys and
   the read/write mix from named RNG streams, and keeps arriving whether
   or not the system keeps up,
 * :mod:`repro.service.runner` — :class:`ServiceConfig` /
   :func:`run_service`: one-call assembly of deployment + keyspace +
-  driver, returning a :class:`ServiceResult` with SLO quantiles,
+  driver, returning a :class:`ServiceResult` with SLO quantiles (the
+  table prints ``n/a`` for a quantile q with fewer than 1/(1-q) samples),
   backpressure counters and a byte-deterministic metrics snapshot.
 
 Everything is seeded and deterministic: two runs of the same config

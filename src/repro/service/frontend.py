@@ -9,9 +9,10 @@
    open-loop run from accumulating unbounded in-flight state,
 3. routes to one of the deployment's clients — reads round-robin; writes
    according to ``write_mode`` (see below),
-4. on settlement, records the operation's simulated latency into both a
-   fixed-bucket histogram (``repro_service_latency``) and the P²
-   streaming estimators, and bumps the outcome counters.
+4. on settlement, records the operation's simulated latency once in its
+   kind's :class:`~repro.obs.quantiles.LogSketch` (quantiles within 1%
+   relative error) and once in the fixed-bucket ``repro_service_latency``
+   histogram, and bumps the outcome counters.
 
 Write routing.  Any client accepts a put for any key (the front end is
 multi-writer); what differs is which register subsystem executes it:
@@ -33,13 +34,13 @@ multi-writer); what differs is which register subsystem executes it:
 Timed-out operations count separately and do **not** feed the latency
 distributions: a timeout's "latency" is just the deadline, and folding a
 constant into the tail would mask exactly the overload signal the
-estimators exist to surface.
+sketches exist to surface.
 """
 
 from typing import Any, Dict, Optional
 
 from repro.obs.core import DISABLED, Observability
-from repro.obs.quantiles import DEFAULT_QUANTILES, StreamingQuantiles
+from repro.obs.quantiles import LogSketch
 from repro.registers.client import QuorumUnreachable
 from repro.registers.sharding import ShardedKeyspace
 from repro.sim.futures import Future
@@ -97,11 +98,11 @@ class KeyValueFrontend:
         #: timeouts so a churn run can tell "slow" from "gave up".
         self.unreachable: Dict[str, int] = {"read": 0, "write": 0}
 
-        #: Streaming SLO estimators per kind plus the combined stream.
-        self.stream_quantiles: Dict[str, StreamingQuantiles] = {
-            "read": StreamingQuantiles(DEFAULT_QUANTILES),
-            "write": StreamingQuantiles(DEFAULT_QUANTILES),
-            "all": StreamingQuantiles(DEFAULT_QUANTILES),
+        #: Completed-operation latency per kind; the combined stream is
+        #: their merge.
+        self.latency_sketches: Dict[str, LogSketch] = {
+            "read": LogSketch(),
+            "write": LogSketch(),
         }
         metrics = self.observability.metrics
         if metrics.enabled:
@@ -185,8 +186,7 @@ class KeyValueFrontend:
             return
         elapsed = self._scheduler.now - started
         self.completed[kind] += 1
-        self.stream_quantiles[kind].observe(elapsed)
-        self.stream_quantiles["all"].observe(elapsed)
+        self.latency_sketches[kind].observe(elapsed)
         if self._latency is not None:
             self._latency[kind].observe(elapsed)
 

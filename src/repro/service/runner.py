@@ -22,6 +22,7 @@ from repro.adversary import build_adversary
 from repro.membership import MembershipSchedule
 from repro.obs.collect import collect_deployment
 from repro.obs.core import Observability
+from repro.obs.quantiles import ALPHA, LogSketch
 from repro.quorum.probabilistic import ProbabilisticQuorumSystem
 from repro.registers.atomic import MultiWriterClient
 from repro.registers.client import QuorumRegisterClient, RetryPolicy
@@ -37,6 +38,18 @@ from repro.sim.rng import RngRegistry
 SLO_QUANTILES: Tuple[Tuple[str, float], ...] = (
     ("p50", 0.5), ("p99", 0.99), ("p999", 0.999),
 )
+
+#: The latency streams of a service run; "all" merges read and write.
+LATENCY_KINDS = ("read", "write", "all")
+
+
+def enough_samples(count: int, q: float) -> bool:
+    """Whether ``count`` samples can support a ``q``-quantile estimate.
+
+    Below ``1/(1-q)`` samples no observation lies beyond the quantile,
+    so the "tail" is just the maximum; the SLO table prints ``n/a``.
+    """
+    return count >= 1.0 / (1.0 - q)
 
 
 @dataclass(frozen=True)
@@ -97,8 +110,11 @@ class ServiceResult:
     config: ServiceConfig
     offered: int
     counters: Dict[str, Any]
+    #: Sketch quantile estimates by kind ("read", "write", "all") and q.
     streaming: Dict[str, Dict[float, float]]
-    histogram_quantiles: Dict[str, Dict[float, float]]
+    #: Samples behind each kind's estimates (completed operations).
+    latency_counts: Dict[str, int]
+    #: Observations past the histogram's last finite bucket, by kind.
     overflow: Dict[str, int]
     retries: int
     timeouts: int
@@ -135,7 +151,7 @@ class ServiceResult:
         return self.completed / self.config.duration
 
     def quantile(self, kind: str, q: float) -> float:
-        """The streaming (P²) latency estimate for ``kind`` ('all' included)."""
+        """The sketch's latency estimate for ``kind`` ('all' included)."""
         return self.streaming[kind][q]
 
     def slo_table(self) -> str:
@@ -163,26 +179,24 @@ class ServiceResult:
                 f"{m['stale_nacks']} stale nacks, "
                 f"{m['view_refreshes']} view refreshes"
             )
-        lines.append(
-            "  latency             p50       p99      p999  overflow"
-        )
-        for kind in ("read", "write", "all"):
-            stream = self.streaming[kind]
-            hist = self.histogram_quantiles.get(kind)
+        header = "  ".join(f"{label:>8}" for label, _ in SLO_QUANTILES)
+        lines.append(f"  latency     count  {header}  overflow")
+        overflow = dict(self.overflow, all=sum(self.overflow.values()))
+        for kind in LATENCY_KINDS:
+            count = self.latency_counts[kind]
             cells = "  ".join(
-                f"{stream[q]:8.3f}" for _, q in SLO_QUANTILES
+                f"{self.streaming[kind][q]:8.3f}"
+                if enough_samples(count, q) else f"{'n/a':>8}"
+                for _, q in SLO_QUANTILES
             )
             lines.append(
-                f"  {kind:<5} (streaming) {cells}"
+                f"  {kind:<7} {count:>9d}  {cells}  "
+                f"{overflow.get(kind, 0):8d}"
             )
-            if hist is not None:
-                cells = "  ".join(
-                    f"{hist[q]:8.3f}" for _, q in SLO_QUANTILES
-                )
-                lines.append(
-                    f"  {kind:<5} (histogram) {cells}  "
-                    f"{self.overflow.get(kind, 0):8d}"
-                )
+        lines.append(
+            f"  (log-bucket sketch, relative error {ALPHA:.0%}; "
+            "n/a: fewer than 1/(1-q) samples)"
+        )
         return "\n".join(lines)
 
 
@@ -271,22 +285,22 @@ def run_service(config: ServiceConfig) -> ServiceResult:
     driver.start()
     deployment.run()
 
+    sketches = dict(frontend.latency_sketches)
+    sketches["all"] = LogSketch().merge(sketches["read"]).merge(
+        sketches["write"]
+    )
     metrics = observability.metrics
     collect_deployment(metrics, deployment)
-    _collect_service(metrics, driver, frontend)
+    _collect_service(metrics, driver, frontend, sketches)
 
     streaming = {
-        kind: stream.values()
-        for kind, stream in frontend.stream_quantiles.items()
+        kind: {q: sketches[kind].quantile(q) for _, q in SLO_QUANTILES}
+        for kind in LATENCY_KINDS
     }
-    histogram_quantiles: Dict[str, Dict[float, float]] = {}
     overflow: Dict[str, int] = {}
     family = metrics.get("repro_service_latency")
     if family is not None:
         for (kind,), histogram in family.series():
-            histogram_quantiles[kind] = {
-                q: histogram.quantile(q) for _, q in SLO_QUANTILES
-            }
             overflow[kind] = histogram.overflow
 
     snapshot = metrics.snapshot()
@@ -295,7 +309,9 @@ def run_service(config: ServiceConfig) -> ServiceResult:
         offered=driver.offered,
         counters=frontend.counters(),
         streaming=streaming,
-        histogram_quantiles=histogram_quantiles,
+        latency_counts={
+            kind: sketches[kind].count for kind in LATENCY_KINDS
+        },
         overflow=overflow,
         retries=deployment.total_retries,
         timeouts=deployment.total_timeouts,
@@ -321,11 +337,12 @@ def run_service(config: ServiceConfig) -> ServiceResult:
 
 
 def _collect_service(metrics: Any, driver: OpenLoopDriver,
-                     frontend: KeyValueFrontend) -> None:
+                     frontend: KeyValueFrontend,
+                     sketches: Dict[str, LogSketch]) -> None:
     """Service-level counters and SLO gauges into the registry.
 
     Offered/admitted/shed/completed/timeout counters by kind, the
-    backpressure high-water mark, and the streaming quantile estimates as
+    backpressure high-water mark, and the sketch quantile estimates as
     gauges — everything a dashboard needs to plot the SLO, all derived
     from simulated state only (byte-deterministic per seed).
     """
@@ -369,15 +386,16 @@ def _collect_service(metrics: Any, driver: OpenLoopDriver,
     ).set(frontend.peak_in_flight)
     quantile_gauge = metrics.gauge(
         "repro_service_latency_quantile",
-        "Streaming (P2) latency quantile estimates, by kind.",
+        "Latency quantile estimates from a log-bucket sketch "
+        f"(relative error {ALPHA:.0%}), by kind.",
         labelnames=("kind", "quantile"),
     )
-    for kind in sorted(frontend.stream_quantiles):
-        stream = frontend.stream_quantiles[kind]
-        if stream.count == 0:
+    for kind in sorted(sketches):
+        sketch = sketches[kind]
+        if sketch.count == 0:
             continue  # a NaN gauge tells a dashboard less than no gauge
         for label, q in SLO_QUANTILES:
-            quantile_gauge.labels(kind, label).set(stream.value(q))
+            quantile_gauge.labels(kind, label).set(sketch.quantile(q))
 
 
 def config_as_dict(config: ServiceConfig) -> Dict[str, Any]:

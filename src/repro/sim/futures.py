@@ -97,8 +97,10 @@ class Future:
 def gather(futures: List[Future], label: str = "gather") -> Future:
     """Return a future resolving to the list of results of ``futures``.
 
-    Fails with the first exception if any input future fails.
-    An empty list resolves immediately to ``[]``.
+    Fails with the exception of the first input to fail; inputs that had
+    already failed when ``gather`` was called count in input order.
+    An empty list resolves immediately to ``[]``.  Each settling input
+    costs O(1).
     """
     combined = Future(label)
     remaining = len(futures)
@@ -106,15 +108,14 @@ def gather(futures: List[Future], label: str = "gather") -> Future:
         combined.resolve([])
         return combined
 
-    def on_done(_: Future) -> None:
+    def on_done(settled: Future) -> None:
         nonlocal remaining
         if combined.done:
             return
+        if settled.failed:
+            combined.fail(settled.exception)
+            return
         remaining -= 1
-        for fut in futures:
-            if fut.done and fut.failed:
-                combined.fail(fut.exception)
-                return
         if remaining == 0:
             combined.resolve([fut.result() for fut in futures])
 

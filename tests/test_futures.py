@@ -109,3 +109,38 @@ def test_gather_with_pre_resolved_inputs():
     assert not combined.done
     pending.resolve(2)
     assert combined.result() == [1, 2]
+
+
+def test_gather_fails_with_the_first_input_to_fail():
+    futures = [Future(str(i)) for i in range(3)]
+    combined = gather(futures)
+    futures[2].fail(ValueError("first"))
+    futures[0].fail(RuntimeError("second"))
+    assert combined.failed
+    assert isinstance(combined.exception, ValueError)
+
+
+def test_gather_input_already_failed_before_gather():
+    # Pre-settled inputs are seen in input order: the earlier of two
+    # pre-failed inputs wins, even behind a pre-resolved success.
+    ok, first, second = Future(), Future(), Future()
+    ok.resolve(1)
+    first.fail(ValueError("first"))
+    second.fail(RuntimeError("second"))
+    pending = Future()
+    combined = gather([ok, pending, first, second])
+    assert combined.failed
+    assert isinstance(combined.exception, ValueError)
+    pending.resolve(2)  # late settlement is harmless
+    assert isinstance(combined.exception, ValueError)
+
+
+def test_gather_success_after_combined_failure_is_ignored():
+    futures = [Future(), Future(), Future()]
+    combined = gather(futures)
+    futures[1].fail(RuntimeError("dead"))
+    futures[0].resolve("a")
+    futures[2].resolve("c")
+    assert combined.failed
+    with pytest.raises(RuntimeError, match="dead"):
+        combined.result()

@@ -21,6 +21,7 @@ from repro.cli import main as cli_main
 from repro.registers.sharding import ShardedKeyspace, ZipfKeys
 from repro.service import ServiceConfig, run_service
 from repro.service.frontend import KeyValueFrontend
+from repro.sim import kernel
 from repro.sim.arrivals import (
     BurstyArrivals,
     DiurnalArrivals,
@@ -219,6 +220,32 @@ def test_service_same_seed_runs_are_byte_identical():
     # And a different seed actually changes the run.
     other = run_service(ServiceConfig(seed=124, **QUICK))
     assert other.snapshot_bytes != first.snapshot_bytes
+
+
+@pytest.mark.skipif(
+    not kernel.native_available(),
+    reason=f"native kernel not built: {kernel.native_import_error()}",
+)
+@pytest.mark.parametrize(
+    "membership",
+    [None, {"kind": "churn", "period": 25.0, "batch": 1}],
+    ids=["static", "churn"],
+)
+def test_service_snapshot_is_byte_identical_across_backends(membership):
+    config = ServiceConfig(
+        seed=1,
+        arrivals={"kind": "poisson", "rate": 8.0},
+        duration=400.0,
+        membership=membership,
+        read_fraction=0.9 if membership is None else 0.5,
+    )
+    with kernel.use_backend("python"):
+        python = run_service(config)
+    with kernel.use_backend("native"):
+        native = run_service(config)
+    assert python.completed > 3000
+    assert native.snapshot_bytes == python.snapshot_bytes
+    assert native.streaming == python.streaming
 
 
 def test_service_sheds_under_tiny_in_flight_cap():
