@@ -107,6 +107,11 @@ static PyObject *str_observe;       /* "observe"         */
 static PyObject *str_read_kind;     /* "read"            */
 static PyObject *str_write_kind;    /* "write"           */
 static PyObject *str_broadcast_attr; /* "broadcast"      */
+static PyObject *str_view_state;    /* "view_state"      */
+static PyObject *str_view_id;       /* "view_id"         */
+static PyObject *str_retired;       /* "retired"         */
+static PyObject *str_retiring;      /* "retiring"        */
+static PyObject *str_client_view;   /* "_view"           */
 static PyObject *py_one = NULL;     /* the int 1 (counter bumps) */
 static PyObject *scheduler_error = NULL;  /* repro.sim.scheduler.SchedulerError */
 
@@ -374,6 +379,18 @@ deliverycore_dealloc(DeliveryCore *self)
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
+/* bool(obj.<name>) as 1/0, or -1 on error. */
+static int
+attr_true(PyObject *obj, PyObject *name)
+{
+    PyObject *value = PyObject_GetAttr(obj, name);
+    if (value == NULL)
+        return -1;
+    int truth = PyObject_IsTrue(value);
+    Py_DECREF(value);
+    return truth;
+}
+
 /* The body of Network._deliver, mirrored exactly:
  *
  *     failures = self.failures
@@ -389,11 +406,7 @@ static int
 delivery_invoke(DeliveryCore *self, PyObject *src, PyObject *dst,
                 PyObject *message, PyObject *kind)
 {
-    PyObject *active = PyObject_GetAttr(self->failures, str_active);
-    if (active == NULL)
-        return -1;
-    int is_active = PyObject_IsTrue(active);
-    Py_DECREF(active);
+    int is_active = attr_true(self->failures, str_active);
     if (is_active < 0)
         return -1;
     if (is_active) {
@@ -1658,11 +1671,7 @@ sendcore_invoke(SendCore *self, PyObject *src, PyObject *dst,
         lost = value < loss_rate;
     }
 
-    PyObject *active = PyObject_GetAttr(self->failures, str_active);
-    if (active == NULL)
-        goto fail;
-    int is_active = PyObject_IsTrue(active);
-    Py_DECREF(active);
+    int is_active = attr_true(self->failures, str_active);
     if (is_active < 0)
         goto fail;
     if (is_active) {
@@ -1998,20 +2007,12 @@ broadcastcore_eligible(BroadcastCore *self, PyObject *delay_model)
         return -1;
     if (loss_rate != 0.0)
         return 0;
-    PyObject *taps = PyObject_GetAttr(self->network, str_taps_attr);
-    if (taps == NULL)
-        return -1;
-    int tapped = PyObject_IsTrue(taps);
-    Py_DECREF(taps);
+    int tapped = attr_true(self->network, str_taps_attr);
     if (tapped < 0)
         return -1;
     if (tapped)
         return 0;
-    PyObject *active = PyObject_GetAttr(self->failures, str_active);
-    if (active == NULL)
-        return -1;
-    int faulty = PyObject_IsTrue(active);
-    Py_DECREF(active);
+    int faulty = attr_true(self->failures, str_active);
     if (faulty < 0)
         return -1;
     if (faulty)
@@ -2291,7 +2292,11 @@ kernel_quorum_sample(PyObject *module, PyObject *const *args,
  * Soft fallback, re-checked on every delivery: an attached adversary,
  * detailed MessageStats, an op-level span (tracing), or the online spec
  * monitor route that message back through the original Python handler,
- * so chaos campaigns and observability runs stay bit-correct.  The
+ * so chaos campaigns and observability runs stay bit-correct.  Under
+ * dynamic membership the cores answer view-stamped traffic themselves
+ * and hand back only what changes membership state: requests a retired
+ * server ignores or an active member nacks, the state transfer, nacks,
+ * and replies stamped with a view newer than the client's.  The
  * live latency histogram is observed natively in clientcore_finish.
  * RNG draws stay in Python in the pre-existing order here; the quorum
  * sample itself can run natively via ``quorum_sample`` (same bits).
@@ -2571,6 +2576,37 @@ servercore_replica(ServerCore *self, PyObject *reg)
                                       reg, NULL);
 }
 
+/* ReplicaServer._admit: the view id to stamp the reply with (0 without
+ * membership), as a new reference.  NULL with no error set hands the
+ * request to the Python handler: a retired server, which counts it
+ * there, or an older-view request at an active member (the nack path). */
+static PyObject *
+servercore_reply_view(ServerCore *self, PyObject *request_view)
+{
+    PyObject *state = PyObject_GetAttr(self->server, str_view_state);
+    if (state == NULL)
+        return NULL;
+    if (state == Py_None) {
+        Py_DECREF(state);
+        return PyLong_FromLong(0);
+    }
+    PyObject *view_id = NULL;
+    int refuse = attr_true(state, str_retired);
+    if (refuse == 0) {
+        view_id = PyObject_GetAttr(state, str_view_id);
+        refuse = view_id == NULL
+            ? -1 : PyObject_RichCompareBool(request_view, view_id, Py_LT);
+        if (refuse == 1) {
+            int retiring = attr_true(state, str_retiring);
+            refuse = retiring < 0 ? -1 : !retiring;
+        }
+    }
+    Py_DECREF(state);
+    if (refuse != 0)
+        Py_CLEAR(view_id);
+    return view_id;
+}
+
 static int
 servercore_invoke(ServerCore *self, PyObject *src, PyObject *message)
 {
@@ -2587,74 +2623,71 @@ servercore_invoke(ServerCore *self, PyObject *src, PyObject *message)
         return servercore_run_fallback(self, src, message);
 
     PyObject *msg_type = (PyObject *)Py_TYPE(message);
-    if (msg_type == msg_read_query) {
-        PyObject *reg = PyTuple_GET_ITEM(message, 0);
-        PyObject *op_id = PyTuple_GET_ITEM(message, 1);
-        PyObject *entry = servercore_replica(self, reg);
-        if (entry == NULL)
-            return -1;
-        if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 2) {
-            /* Foreign replica layout: let Python unpack (and fail) it. */
-            Py_DECREF(entry);
-            return servercore_run_fallback(self, src, message);
-        }
+    int is_read = msg_type == msg_read_query;
+    if (!is_read && msg_type != msg_write_update)
+        /* Anything else — the state transfer, unknown kinds, message
+         * subclasses — takes the Python handler, which counts-and-ignores
+         * unknown messages. */
+        return servercore_run_fallback(self, src, message);
+    /* The view stamp is the last field of both request kinds. */
+    PyObject *view = servercore_reply_view(
+        self, PyTuple_GET_ITEM(message, PyTuple_GET_SIZE(message) - 1));
+    if (view == NULL)
+        return PyErr_Occurred()
+            ? -1 : servercore_run_fallback(self, src, message);
+    PyObject *reg = PyTuple_GET_ITEM(message, 0);
+    PyObject *op_id = PyTuple_GET_ITEM(message, 1);
+    PyObject *entry = servercore_replica(self, reg);
+    if (entry == NULL)
+        goto fail;
+    if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 2) {
+        /* Foreign replica layout: let Python unpack (and fail) it. */
+        Py_DECREF(entry);
+        Py_DECREF(view);
+        return servercore_run_fallback(self, src, message);
+    }
+    PyObject *reply;
+    if (is_read) {
         if (bump_counter(self->server, str_reads_served) < 0) {
             Py_DECREF(entry);
-            return -1;
+            goto fail;
         }
-        PyObject *reply = make_message(
+        reply = make_message(
             msg_read_reply,
-            PyTuple_Pack(4, reg, op_id, PyTuple_GET_ITEM(entry, 1),
-                         PyTuple_GET_ITEM(entry, 0)));
+            PyTuple_Pack(5, reg, op_id, PyTuple_GET_ITEM(entry, 1),
+                         PyTuple_GET_ITEM(entry, 0), view));
         Py_DECREF(entry);
-        if (reply == NULL)
-            return -1;
-        int rc = send_message(self->network, self->node_id, src, reply);
-        Py_DECREF(reply);
-        return rc;
     }
-    if (msg_type == msg_write_update) {
-        PyObject *reg = PyTuple_GET_ITEM(message, 0);
-        PyObject *op_id = PyTuple_GET_ITEM(message, 1);
+    else {
         PyObject *value = PyTuple_GET_ITEM(message, 2);
         PyObject *ts = PyTuple_GET_ITEM(message, 3);
-        PyObject *entry = servercore_replica(self, reg);
-        if (entry == NULL)
-            return -1;
-        if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 2) {
-            Py_DECREF(entry);
-            return servercore_run_fallback(self, src, message);
-        }
         int newer = timestamp_gt(ts, PyTuple_GET_ITEM(entry, 0));
         Py_DECREF(entry);
         if (newer < 0)
-            return -1;
+            goto fail;
         if (newer) {
             PyObject *fresh = PyTuple_Pack(2, ts, value);
             if (fresh == NULL)
-                return -1;
+                goto fail;
             int rc = PyDict_SetItem(self->replicas, reg, fresh);
             Py_DECREF(fresh);
             if (rc < 0)
-                return -1;
-            if (bump_counter(self->server, str_writes_applied) < 0)
-                return -1;
+                goto fail;
         }
-        else {
-            if (bump_counter(self->server, str_stale_updates) < 0)
-                return -1;
-        }
-        PyObject *reply = make_message(msg_write_ack,
-                                       PyTuple_Pack(2, reg, op_id));
-        if (reply == NULL)
-            return -1;
-        int rc = send_message(self->network, self->node_id, src, reply);
-        Py_DECREF(reply);
-        return rc;
+        if (bump_counter(self->server,
+                         newer ? str_writes_applied : str_stale_updates) < 0)
+            goto fail;
+        reply = make_message(msg_write_ack, PyTuple_Pack(3, reg, op_id, view));
     }
-    /* Anything else — unknown kinds, message subclasses — takes the
-     * Python handler, which counts-and-ignores unknown messages. */
-    return servercore_run_fallback(self, src, message);
+    Py_DECREF(view);
+    if (reply == NULL)
+        return -1;
+    int rc = send_message(self->network, self->node_id, src, reply);
+    Py_DECREF(reply);
+    return rc;
+fail:
+    Py_DECREF(view);
+    return -1;
 }
 
 static PyObject *
@@ -2896,6 +2929,27 @@ reply_value(PyObject *reply)
     return PyObject_GetAttr(reply, str_value_attr);
 }
 
+/* 1 when a reply's view stamp is newer than the client's view, so the
+ * Python handler must refresh the view first; 0 at once for stamp 0,
+ * the only stamp a static deployment sends. */
+static int
+newer_view(PyObject *client, PyObject *stamp)
+{
+    int stamped = PyObject_IsTrue(stamp);
+    if (stamped <= 0)
+        return stamped;
+    PyObject *view = PyObject_GetAttr(client, str_client_view);
+    if (view == NULL)
+        return -1;
+    PyObject *view_id = PyObject_GetAttr(view, str_view_id);
+    Py_DECREF(view);
+    if (view_id == NULL)
+        return -1;
+    int newer = PyObject_RichCompareBool(stamp, view_id, Py_GT);
+    Py_DECREF(view_id);
+    return newer;
+}
+
 /* QuorumRegisterClient._finish + _teardown, transcribed.  ``op`` is a
  * strong reference held by the caller; spans / monitor are guaranteed
  * off by the caller's fallback guards, while the latency histogram is
@@ -2912,22 +2966,14 @@ clientcore_finish(ClientCore *self, PyObject *op, PyObject *op_id,
         return -1;
     if (bump_counter(self->client, str_ops_completed) < 0)
         return -1;
-    PyObject *active = PyObject_GetAttr(self->failures, str_active);
-    if (active == NULL)
-        return -1;
-    int under_failure = PyObject_IsTrue(active);
-    Py_DECREF(active);
+    int under_failure = attr_true(self->failures, str_active);
     if (under_failure < 0)
         return -1;
     if (under_failure
         && bump_counter(self->client, str_ops_under_failure) < 0)
         return -1;
 
-    PyObject *is_read_obj = PyObject_GetAttr(op, str_is_read);
-    if (is_read_obj == NULL)
-        return -1;
-    int is_read = PyObject_IsTrue(is_read_obj);
-    Py_DECREF(is_read_obj);
+    int is_read = attr_true(op, str_is_read);
     if (is_read < 0)
         return -1;
 
@@ -3156,14 +3202,15 @@ clientcore_invoke(ClientCore *self, PyObject *src, PyObject *message)
 {
     PyObject *msg_type = (PyObject *)Py_TYPE(message);
     if (msg_type != msg_read_reply && msg_type != msg_write_ack)
-        /* Subclassed replies take the Python isinstance path; foreign
-         * kinds are a Python no-op either way. */
+        /* Nacks, subclassed replies and foreign kinds take the Python
+         * handler. */
         return clientcore_run_fallback(self, src, message);
 
     /* Mutable hooks, re-checked per delivery: detailed stats, an
-     * adversary, or the online spec monitor force the Python handler
-     * for this message.  The latency histogram is observed natively
-     * in clientcore_finish, so it no longer forces a fallback. */
+     * adversary, the online spec monitor, or a reply from a newer view
+     * force the Python handler for this message.  The latency histogram
+     * is observed natively in clientcore_finish, so it no longer forces
+     * a fallback. */
     if (!StatsCore_Check(self->stats))
         return clientcore_run_fallback(self, src, message);
     PyObject *adversary = PyObject_GetAttr(self->network, str_adversary_attr);
@@ -3173,11 +3220,12 @@ clientcore_invoke(ClientCore *self, PyObject *src, PyObject *message)
     Py_DECREF(adversary);
     if (hooked)
         return clientcore_run_fallback(self, src, message);
-    PyObject *monitor_on = PyObject_GetAttr(self->client, str_monitor_on);
-    if (monitor_on == NULL)
-        return -1;
-    hooked = PyObject_IsTrue(monitor_on);
-    Py_DECREF(monitor_on);
+    hooked = attr_true(self->client, str_monitor_on);
+    if (hooked == 0)
+        /* The view stamp is the last field of both reply kinds. */
+        hooked = newer_view(
+            self->client,
+            PyTuple_GET_ITEM(message, PyTuple_GET_SIZE(message) - 1));
     if (hooked < 0)
         return -1;
     if (hooked)
@@ -3412,6 +3460,11 @@ PyInit__kernel(void)
     str_read_kind = PyUnicode_InternFromString("read");
     str_write_kind = PyUnicode_InternFromString("write");
     str_broadcast_attr = PyUnicode_InternFromString("broadcast");
+    str_view_state = PyUnicode_InternFromString("view_state");
+    str_view_id = PyUnicode_InternFromString("view_id");
+    str_retired = PyUnicode_InternFromString("retired");
+    str_retiring = PyUnicode_InternFromString("retiring");
+    str_client_view = PyUnicode_InternFromString("_view");
     py_one = PyLong_FromLong(1);
     if (str_active == NULL || str_can_deliver == NULL
         || str_on_message == NULL || str_record_drop == NULL
@@ -3446,7 +3499,10 @@ PyInit__kernel(void)
         || str_floor_attr == NULL || str_cdelay_attr == NULL
         || str_started_attr == NULL || str_observe == NULL
         || str_read_kind == NULL || str_write_kind == NULL
-        || str_broadcast_attr == NULL || py_one == NULL)
+        || str_broadcast_attr == NULL || str_view_state == NULL
+        || str_view_id == NULL || str_retired == NULL
+        || str_retiring == NULL || str_client_view == NULL
+        || py_one == NULL)
         return NULL;
 
     if (PyType_Ready(&StatsCore_Type) < 0

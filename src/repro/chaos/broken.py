@@ -10,7 +10,7 @@ them — without planting bugs in the production protocol code.
 from typing import Any
 
 from repro.registers.client import QuorumRegisterClient, _PendingOp
-from repro.registers.messages import ReadReply, ViewReadReply
+from repro.registers.messages import ReadReply
 
 
 class RegressingClient(QuorumRegisterClient):
@@ -52,7 +52,7 @@ class RegressingClient(QuorumRegisterClient):
         replies = [
             op.replies[i]
             for i in op.quorum
-            if isinstance(op.replies.get(i), (ReadReply, ViewReadReply))
+            if isinstance(op.replies.get(i), ReadReply)
         ]
         worst = min(replies, key=lambda reply: reply.timestamp)
         op.record.complete(now, worst.value, worst.timestamp)

@@ -55,6 +55,7 @@ cross the worker-process boundary, so it forces ``--jobs 1`` and
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 from typing import Callable, Dict, List, Optional
@@ -683,6 +684,21 @@ def main(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.churn is not None:
+        if not (math.isfinite(args.churn) and args.churn > 0):
+            print(
+                f"repro: error: --churn must be a positive number of time "
+                f"units, got {args.churn}",
+                file=sys.stderr,
+            )
+            return 2
+        if not 1 <= args.churn_batch <= args.servers:
+            print(
+                f"repro: error: --churn-batch must be in [1, {args.servers}] "
+                f"(the number of servers), got {args.churn_batch}",
+                file=sys.stderr,
+            )
+            return 2
     names = sorted(COMMANDS) if args.experiment == "all" else [args.experiment]
 
     observe = args.metrics_out is not None or args.trace_spans is not None

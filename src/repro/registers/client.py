@@ -30,10 +30,6 @@ from repro.registers.messages import (
     ReadQuery,
     ReadReply,
     StaleViewNack,
-    ViewReadQuery,
-    ViewReadReply,
-    ViewWriteAck,
-    ViewWriteUpdate,
     WriteAck,
     WriteUpdate,
 )
@@ -192,9 +188,9 @@ class _PendingOp:
         self.members: Optional[List[int]] = None
         self.member_ids: Optional[List[int]] = None
         self.message: Any = None
-        # View id this op is currently dispatched under; None on static
-        # (membership-free) deployments, where messages are unstamped.
-        self.view: Optional[int] = None
+        # View id this op is currently dispatched under; 0 on static
+        # (membership-free) deployments.
+        self.view = 0
 
     def complete_against_quorum(self) -> bool:
         """True once every member of the current quorum has replied."""
@@ -369,17 +365,10 @@ class QuorumRegisterClient(Node):
             # rounds, and immutability lets retries re-send the same
             # instance.  (A view refresh clears the cache — the stamp
             # changes — but a static deployment never does.)
-            if op.view is None:
-                if op.is_read:
-                    message = ReadQuery(op.register, op.op_id)
-                else:
-                    message = WriteUpdate(
-                        op.register, op.op_id, op.value, op.timestamp
-                    )
-            elif op.is_read:
-                message = ViewReadQuery(op.register, op.op_id, op.view)
+            if op.is_read:
+                message = ReadQuery(op.register, op.op_id, op.view)
             else:
-                message = ViewWriteUpdate(
+                message = WriteUpdate(
                     op.register, op.op_id, op.value, op.timestamp, op.view
                 )
             op.message = message
@@ -624,38 +613,22 @@ class QuorumRegisterClient(Node):
     # ------------------------------------------------------------------ #
 
     def on_message(self, src: int, message: Any) -> None:
-        # The plain-reply branch stays first: it is the only branch a
-        # membership-free run ever takes, and the native client core
-        # recognises exactly these two types — everything view-stamped
-        # soft-falls back here per message.
+        # The reply branch stays first: it is the only branch a
+        # membership-free run ever takes.  The native client core runs it
+        # too, handing back only nacks and replies stamped with a newer
+        # view than this client's.
         if isinstance(message, (ReadReply, WriteAck)):
-            op = self._pending.get(message.op_id)
-            if op is None:
-                return  # late reply for a completed operation
-            server_index = self._server_index.get(src)
-            if server_index is None:
-                return  # reply from an unknown node
-            op.replies[server_index] = message
-            if op.span is not None:
-                op.span.event(
-                    self.network.scheduler.now, "reply", server=server_index
-                )
-            if op.complete_against_quorum():
-                self._finish(op)
-        elif isinstance(message, (ViewReadReply, ViewWriteAck)):
-            if self._membership is None:
-                return  # view traffic on a static deployment: drop
-            if message.view > self._view.view_id:
+            if message.view and message.view > self._view.view_id:
                 # A draining leaver (or newer member) answered an op we
                 # stamped with an old view; the reply is still a valid
                 # answer, and its stamp tells us to refresh.
                 self._refresh_view()
             op = self._pending.get(message.op_id)
             if op is None:
-                return
+                return  # late reply for a completed operation
             server_index = self._server_index.get(src)
             if server_index is None:
-                return
+                return  # reply from an unknown node
             op.replies[server_index] = message
             if op.span is not None:
                 op.span.event(
@@ -698,7 +671,7 @@ class QuorumRegisterClient(Node):
         quorum_replies = [
             op.replies[i]
             for i in op.quorum
-            if isinstance(op.replies.get(i), (ReadReply, ViewReadReply))
+            if isinstance(op.replies.get(i), ReadReply)
         ]
         best = max(quorum_replies, key=lambda reply: reply.timestamp)
         value, timestamp = best.value, best.timestamp

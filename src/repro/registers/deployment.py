@@ -221,11 +221,13 @@ class RegisterDeployment:
         """Install a membership timeline; returns the ViewManager.
 
         An **empty** schedule returns None and touches nothing — the
-        deployment stays on the static fast path, byte-identical to one
-        that never heard of membership.  Otherwise every server gets a
-        view state, every client switches to view-stamped dispatch, and
-        the manager's events are scheduled.  Imported lazily so static
-        deployments never load the membership package.
+        deployment stays static, byte-identical to one that never heard
+        of membership.  Otherwise every server gets a view state (which
+        turns on its view gate), every client stamps its requests with
+        its current view instead of 0, and the manager's events are
+        scheduled.  The messages and the native protocol cores are the
+        same either way.  Imported lazily so static deployments never
+        load the membership package.
         """
         if len(schedule) == 0:
             return None

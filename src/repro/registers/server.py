@@ -5,17 +5,15 @@ Each server keeps, per register, a local replica value and its timestamp
 WriteUpdate installs the value only when its timestamp is newer than the
 stored one, which makes the protocol tolerate message reordering.
 
-Dynamic membership (``repro.membership``) rides on the view-stamped
-message variants: when a :class:`~repro.membership.manager.ViewManager`
-attaches a :class:`~repro.membership.manager.ServerViewState`, the
-server answers ``ViewReadQuery``/``ViewWriteUpdate`` with replies
-carrying its current view id, nacks requests stamped with an older view
-(``StaleViewNack`` — the client refreshes and re-dispatches), serves
-``StateRequest`` catch-up queries from joining replicas, and — once
-retired after its drain window — ignores all traffic, counted.  A
-deployment with no membership schedule never attaches the state, and
-every view-stamped branch sits after the plain-message dispatch, so the
-membership-free hot path is unchanged.
+Dynamic membership (``repro.membership``) adds a view gate in front of
+the same two handlers.  When a :class:`~repro.membership.manager.ViewManager`
+attaches a :class:`~repro.membership.manager.ServerViewState`, replies
+are stamped with the server's current view id, a request stamped with
+an older view is nacked (``StaleViewNack``: the client refreshes and
+re-dispatches), ``StateRequest`` catch-up queries from joining replicas
+are served, and a server retired after its drain window ignores all
+traffic, counted.  A deployment with no membership schedule never
+attaches the state, so the gate costs it one attribute read.
 """
 
 from typing import Any, Dict, Optional, Tuple
@@ -27,10 +25,6 @@ from repro.registers.messages import (
     StaleViewNack,
     StateReply,
     StateRequest,
-    ViewReadQuery,
-    ViewReadReply,
-    ViewWriteAck,
-    ViewWriteUpdate,
     WriteAck,
     WriteUpdate,
 )
@@ -106,13 +100,19 @@ class ReplicaServer(Node):
         # Replies go through network.send directly: Node.send's attachment
         # checks cost a function call per reply, and every message a
         # server handles produces exactly one reply.
+        view = 0
+        state = self.view_state
+        if state is not None and isinstance(message, (ReadQuery, WriteUpdate)):
+            view = self._admit(src, message, state)
+            if view is None:
+                return
         if isinstance(message, ReadQuery):
             timestamp, value = self._replica(message.register)
             self.reads_served += 1
             self.network.send(
                 self.node_id,
                 src,
-                ReadReply(message.register, message.op_id, value, timestamp),
+                ReadReply(message.register, message.op_id, value, timestamp, view),
             )
         elif isinstance(message, WriteUpdate):
             current_ts, _ = self._replica(message.register)
@@ -122,12 +122,8 @@ class ReplicaServer(Node):
             else:
                 self.stale_updates_ignored += 1
             self.network.send(
-                self.node_id, src, WriteAck(message.register, message.op_id)
+                self.node_id, src, WriteAck(message.register, message.op_id, view)
             )
-        elif isinstance(message, ViewReadQuery):
-            self._on_view_read(src, message)
-        elif isinstance(message, ViewWriteUpdate):
-            self._on_view_write(src, message)
         elif isinstance(message, StateRequest):
             self._on_state_request(src, message)
         elif isinstance(message, StateReply):
@@ -139,11 +135,11 @@ class ReplicaServer(Node):
             self.unknown_messages_ignored += 1
 
     # ------------------------------------------------------------------ #
-    # View-stamped protocol (dynamic membership)
+    # Dynamic membership
     # ------------------------------------------------------------------ #
 
-    def _gate(self, message: Any, src: int) -> bool:
-        """Common view checks; True when the request should be answered.
+    def _admit(self, src: int, message: Any, state: Any) -> Optional[int]:
+        """The view id to stamp the reply with, or None to refuse.
 
         Retired servers ignore everything (counted).  An *active* member
         nacks requests stamped with an older view, forcing the client to
@@ -151,10 +147,9 @@ class ReplicaServer(Node):
         carries the new view id, which refreshes the client anyway —
         so in-flight old-view operations complete during the drain.
         """
-        state = self.view_state
         if state.retired:
             self.retired_messages_ignored += 1
-            return False
+            return None
         if message.view < state.view_id and not state.retiring:
             self.stale_nacks_sent += 1
             self.network.send(
@@ -162,47 +157,8 @@ class ReplicaServer(Node):
                 src,
                 StaleViewNack(message.register, message.op_id, state.view_id),
             )
-            return False
-        return True
-
-    def _on_view_read(self, src: int, message: ViewReadQuery) -> None:
-        if self.view_state is None:
-            self.unknown_messages_ignored += 1
-            return
-        if not self._gate(message, src):
-            return
-        timestamp, value = self._replica(message.register)
-        self.reads_served += 1
-        self.network.send(
-            self.node_id,
-            src,
-            ViewReadReply(
-                message.register, message.op_id, value, timestamp,
-                self.view_state.view_id,
-            ),
-        )
-
-    def _on_view_write(self, src: int, message: ViewWriteUpdate) -> None:
-        if self.view_state is None:
-            self.unknown_messages_ignored += 1
-            return
-        if not self._gate(message, src):
-            return
-        current_ts, _ = self._replica(message.register)
-        if message.timestamp > current_ts:
-            self._replicas[message.register] = (
-                message.timestamp, message.value
-            )
-            self.writes_applied += 1
-        else:
-            self.stale_updates_ignored += 1
-        self.network.send(
-            self.node_id,
-            src,
-            ViewWriteAck(
-                message.register, message.op_id, self.view_state.view_id
-            ),
-        )
+            return None
+        return state.view_id
 
     def _on_state_request(self, src: int, message: StateRequest) -> None:
         state = self.view_state

@@ -227,7 +227,9 @@ def make_server_core(server):
     mutants) override the handler and must keep their Python semantics —
     and on a native scheduler, so replies push straight into the C heap.
     The core re-checks the mutable hooks (adversary, detailed stats) per
-    delivery and falls back to the Python handler when any is active.
+    delivery and falls back to the Python handler when any is active;
+    under membership it also hands back requests that the server nacks
+    or, once retired, ignores.
     """
     if selected_backend() != "native":
         return None
@@ -249,8 +251,8 @@ def make_client_core(client):
     ``_finish``/``_teardown`` completion path, installed as the client's
     ``on_message`` instance attribute.  Exact-type gated like
     :func:`make_server_core`; per-delivery fallback conditions are the
-    adversary, detailed stats, an op-level span and the online spec
-    monitor.  The live latency histogram is observed natively.  Quorum
+    adversary, detailed stats, an op-level span, the online spec
+    monitor, nacks and replies stamped with a newer view.  The live latency histogram is observed natively.  Quorum
     sampling and retry jitter stay in Python, so the RNG draw order is
     untouched.
     """

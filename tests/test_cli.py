@@ -140,3 +140,27 @@ def test_trace_spans_prints_slowest_operations(capsys):
 def test_trace_spans_rejects_non_positive(capsys):
     assert main(["fault", "--trace-spans", "0"]) == 2
     assert "--trace-spans must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("period", ["-5", "0", "nan", "inf"])
+def test_serve_rejects_non_positive_or_non_finite_churn(period, capsys):
+    assert main(["serve", "--churn", period, "--duration", "10"]) == 2
+    captured = capsys.readouterr()
+    assert "repro: error: --churn must be a positive number" in captured.err
+    assert "churn every" not in captured.out
+
+
+@pytest.mark.parametrize("batch", ["0", "17", "100"])
+def test_serve_rejects_churn_batch_outside_server_count(batch, capsys):
+    argv = ["serve", "--churn", "25", "--churn-batch", batch, "--duration", "10"]
+    assert main(argv) == 2
+    assert "--churn-batch must be in [1, 16]" in capsys.readouterr().err
+
+
+def test_serve_accepts_churn_batch_equal_to_server_count(capsys):
+    argv = [
+        "serve", "--servers", "4", "--quorum-size", "2", "--churn", "5",
+        "--churn-batch", "4", "--duration", "12",
+    ]
+    assert main(argv) == 0
+    assert "churn every 5 time units, batch 4" in capsys.readouterr().out

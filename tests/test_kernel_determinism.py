@@ -477,11 +477,11 @@ def test_cancel_requeue_churn_is_event_for_event_identical():
 # membership.  The workload reconfigures mid-flight: roster index 4
 # joins at t=6 (state transfer from a read quorum of view 0, the
 # state_request/state_reply pairs below), and index 0 retires at t=14
-# (drains for 4 time units, then stops appearing in quorums).  The
-# native backend has no C support for the view-stamped message types —
-# its protocol cores recognise the four plain NamedTuples by exact type
-# and fall back to the Python handlers per message — so this trace doubles
-# as the regression test that the fallback is byte-exact.
+# (drains for 4 time units, then stops appearing in quorums).  On the
+# native backend the protocol cores answer the view-stamped requests and
+# replies themselves and hand nacks, the state transfer and newer-view
+# replies to the Python handlers, so this trace doubles as the
+# regression test that the C view gate and that hand-off are byte-exact.
 GOLDEN_MEMBERSHIP_TRACE = [
     (1, 0.327884676, "write_update", 4, 0),
     (2, 0.337857094, "write_ack", 0, 4),
@@ -585,9 +585,10 @@ def _capture_membership_trace():
 def test_golden_membership_trace_is_unchanged(kernel_backend):
     """Join + retire deliver the exact golden sequence on both backends.
 
-    Parametrized over python and native: the native cores must hand every
-    view-stamped message (and the transfer protocol) to the Python
-    handlers without perturbing event order, times or RNG streams.
+    Parametrized over python and native: the native cores must apply
+    the view gate exactly as the Python handlers do, and hand them the
+    membership traffic (nacks, the transfer protocol, newer-view
+    replies) without perturbing event order, times or RNG streams.
     """
     trace, manager, deployment = _capture_membership_trace()
     assert trace == GOLDEN_MEMBERSHIP_TRACE
